@@ -29,7 +29,7 @@ Status RetryPolicy::Validate() const {
 BlitzClient::BlitzClient(ByteStream* stream, Options options)
     : stream_(stream),
       options_(std::move(options)),
-      reader_(stream, options_.wire),
+      assembler_(options_.wire),
       rng_(options_.seed) {
   if (!options_.sleep_ms) {
     options_.sleep_ms = [](double ms) {
@@ -77,7 +77,24 @@ Result<std::uint64_t> BlitzClient::Send(const std::string& bjq,
 }
 
 Result<std::optional<ResponseFrame>> BlitzClient::Receive() {
-  return reader_.ReadResponse();
+  while (next_received_ == received_.size()) {
+    if (!receive_error_.ok()) return receive_error_;
+    received_.clear();
+    next_received_ = 0;
+    char buf[4096];
+    Result<std::size_t> n = stream_->Read(buf, sizeof(buf));
+    if (!n.ok()) return n.status();
+    if (*n == 0) {
+      if (assembler_.mid_frame()) {
+        return Status::InvalidArgument("stream ended mid-frame");
+      }
+      return std::optional<ResponseFrame>();  // Clean EOF.
+    }
+    // Frames completed before a framing error are still delivered; the
+    // error surfaces once they are consumed.
+    receive_error_ = assembler_.Feed(std::string_view(buf, *n), &received_);
+  }
+  return std::optional<ResponseFrame>(std::move(received_[next_received_++]));
 }
 
 void BlitzClient::CloseSend() { stream_->CloseWrite(); }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -93,7 +94,10 @@ class BlitzClient {
 
   ByteStream* stream_;
   Options options_;
-  FrameReader reader_;
+  ResponseFrameAssembler assembler_;
+  std::vector<ResponseFrame> received_;  ///< Assembled, not yet returned.
+  std::size_t next_received_ = 0;
+  Status receive_error_ = Status::OK();  ///< Sticky framing error.
   Rng rng_;
   std::uint64_t next_id_ = 1;
 };

@@ -49,12 +49,17 @@ class Multiplexer;
 /// worker threads through `mu` (SendResponse enqueues from any thread).
 /// Identified by a monotonically increasing id — never by fd, which the
 /// kernel reuses the moment a dead connection closes.
+///
+/// Ownership: `server_conn` owns the server's ServeConnection, whose sink
+/// is this MuxConn — a cycle while the connection is open. HardClose
+/// breaks it, so afterwards only queued jobs keep the pair alive, and only
+/// until they answer.
 struct MuxConn final : ResponseSink {
   Multiplexer* mux = nullptr;
   std::uint64_t id = 0;
   int fd = -1;
   RequestFrameAssembler assembler;
-  std::shared_ptr<ServeConnection> server_conn;
+  std::shared_ptr<ServeConnection> server_conn;  ///< Reset by HardClose.
 
   std::mutex mu;
   std::deque<std::string> outbox;  ///< Encoded frames awaiting the socket.
@@ -102,8 +107,9 @@ class Multiplexer {
   bool Flush(const std::shared_ptr<MuxConn>& conn);
   void UpdateInterest(const std::shared_ptr<MuxConn>& conn);
   /// Immediately severs the transport: pending outbox bytes are dropped,
-  /// future responses are dropped. The MuxConn object stays alive (via the
-  /// server's ServeConnection sink reference) until its last job answers.
+  /// future responses are dropped, and server_conn is released. The
+  /// MuxConn object stays alive (through the jobs' ServeConnection, whose
+  /// sink it is) until its last job answers.
   void HardClose(const std::shared_ptr<MuxConn>& conn);
   /// Closes the connection iff it owes nothing: read side finished, every
   /// submitted request answered, outbox flushed.
@@ -160,10 +166,11 @@ void Multiplexer::AcceptReady() {
     conn->mux = this;
     conn->id = next_id_++;
     conn->fd = fd;
-    conn->server_conn = server_->OpenConnection(conn);
 
     if (std::optional<FaultSpec> fault = FaultHit(kFaultServeAccept)) {
-      // Mirror Serve(): answer once with id 0, then end the connection.
+      // Connection-level failure: answer once with id 0 (no frame was
+      // read) so the client sees a status instead of a silent close, then
+      // end the connection.
       const Status error =
           fault->kind == FaultKind::kFailStatus
               ? fault->status
@@ -184,6 +191,7 @@ void Multiplexer::AcceptReady() {
       close(fd);
       continue;
     }
+    conn->server_conn = server_->OpenConnection(conn);
     conns_.emplace(conn->id, conn);
     if (conn->read_done) {
       if (Flush(conn)) MaybeFinish(conn);
@@ -203,8 +211,7 @@ void Multiplexer::ReadReady(const std::shared_ptr<MuxConn>& conn) {
     }
     if (n == 0) {
       if (conn->assembler.mid_frame()) {
-        // The peer died inside a frame — the blocking reader's
-        // "stream ended mid-header/mid-body" connection-level error.
+        // The peer died inside a frame: a connection-level error.
         server_->SubmitProtocolError(
             conn->server_conn,
             Status::InvalidArgument("stream ended mid-frame"));
@@ -223,8 +230,7 @@ void Multiplexer::ReadReady(const std::shared_ptr<MuxConn>& conn) {
       server_->SubmitRequest(conn->server_conn, std::move(frame));
     }
     if (!fed.ok()) {
-      // Frame desync: answer once with id 0 and stop reading, exactly like
-      // the blocking Serve() path.
+      // Frame desync: answer once with id 0 and stop reading.
       server_->SubmitProtocolError(conn->server_conn, fed);
       ++conn->submitted;
       conn->read_done = true;
@@ -301,6 +307,7 @@ void Multiplexer::HardClose(const std::shared_ptr<MuxConn>& conn) {
     conn->outbox.clear();
     conn->offset = 0;
   }
+  conn->server_conn.reset();
   stalled_.erase(conn->id);
   conns_.erase(conn->id);
 }

@@ -18,8 +18,7 @@ struct MuxOptions {
   int wake_fd = -1;
 
   /// A connection whose peer accepts no bytes for this long while
-  /// responses are pending is closed (the slow-loris bound — same
-  /// semantics as FdStream's bounded write path). 0 disables.
+  /// responses are pending is closed (the slow-loris bound). 0 disables.
   double write_timeout_ms = 5000;
 
   /// Open-connection cap; accepts beyond it are closed immediately.
@@ -37,12 +36,13 @@ struct MuxOptions {
 /// threads. This is what pushes blitzd past the thread-per-connection
 /// ceiling to 10k sockets.
 ///
-/// Per connection, the blocking Serve(stream) semantics are preserved
-/// exactly: a malformed or over-limit frame is answered once with id 0 and
-/// ends the connection after pending responses flush; EOF mid-frame is a
-/// protocol error, EOF at a frame boundary is clean; every submitted
-/// request is answered exactly once (the server's drain guarantee — the
-/// multiplexer only transports frames).
+/// Per connection: a malformed or over-limit frame is answered once with
+/// id 0 and ends the connection after pending responses flush; EOF
+/// mid-frame is a protocol error, EOF at a frame boundary is clean; every
+/// submitted request is answered exactly once (the server's drain
+/// guarantee — the multiplexer only transports frames). A closed
+/// connection releases its ServeConnection, so per-connection memory lives
+/// only as long as the connection or its last pending job.
 ///
 /// Blocks until drained (wake_fd readable, or a kFailStatus
 /// serve.epoll.wait fault — transient kinds skip one cycle). Returns OK on

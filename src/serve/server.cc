@@ -66,8 +66,7 @@ BlitzServer::BlitzServer(ServerOptions options)
     : options_(std::move(options)),
       arena_(options_.arena),
       admission_(options_.admission),
-      cache_(options_.cache),
-      latency_(Histogram::DefaultLatencyBounds()) {
+      cache_(options_.cache) {
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -76,65 +75,25 @@ BlitzServer::BlitzServer(ServerOptions options)
 
 BlitzServer::~BlitzServer() { Shutdown(); }
 
-Status BlitzServer::Serve(ByteStream* stream) {
-  if (std::optional<FaultSpec> fault = FaultHit(kFaultServeAccept)) {
-    // Connection-level failure: answer once (id 0 — no frame was read) so
-    // the client sees a status instead of a silent close, then refuse.
-    const Status error = fault->kind == FaultKind::kFailStatus
-                             ? fault->status
-                             : Status::Unavailable("injected accept failure");
-    ServeConnection conn;
-    conn.stream = stream;
-    Respond(&conn, ResponseFrame{0, error.code(), kShedRetryAfterMs,
-                                 error.message()});
-    Count("serve.accept_rejects");
-    return error;
-  }
-
-  ServeConnection conn;
-  conn.stream = stream;
-  FrameReader reader(stream, options_.wire);
-  Status result = Status::OK();
-  for (;;) {
-    Result<std::optional<RequestFrame>> frame = reader.ReadRequest();
-    if (!frame.ok()) {
-      // The stream is no longer frame-aligned; nothing after this point
-      // can be parsed, so answer with id 0 and end the connection. The
-      // process — and every other connection — is unaffected.
-      result = frame.status();
-      Respond(&conn,
-              ResponseFrame{0, result.code(), 0, result.message()});
-      Count("serve.protocol_errors");
-      break;
-    }
-    if (!frame->has_value()) break;  // Clean EOF at a frame boundary.
-    HandleRequest(&conn, nullptr, std::move(**frame));
-  }
-
-  // Responses for admitted requests are written by workers; hold the
-  // connection open until the last one lands.
-  {
-    std::unique_lock<std::mutex> lock(conn.mu);
-    conn.idle_cv.wait(lock, [&conn] { return conn.outstanding == 0; });
-  }
-  return result;
-}
-
 std::shared_ptr<ServeConnection> BlitzServer::OpenConnection(
     std::shared_ptr<ResponseSink> sink) {
-  auto conn = std::make_shared<ServeConnection>();
-  conn->sink = std::move(sink);
-  return conn;
+  connections_live_->fetch_add(1, std::memory_order_relaxed);
+  return std::shared_ptr<ServeConnection>(
+      new ServeConnection{std::move(sink)},
+      [live = connections_live_](ServeConnection* conn) {
+        delete conn;
+        live->fetch_sub(1, std::memory_order_relaxed);
+      });
 }
 
 void BlitzServer::SubmitRequest(const std::shared_ptr<ServeConnection>& conn,
                                 RequestFrame frame) {
-  HandleRequest(conn.get(), conn, std::move(frame));
+  HandleRequest(conn, std::move(frame));
 }
 
 void BlitzServer::SubmitProtocolError(
     const std::shared_ptr<ServeConnection>& conn, const Status& error) {
-  Respond(conn.get(), ResponseFrame{0, error.code(), 0, error.message()});
+  Respond(*conn, ResponseFrame{0, error.code(), 0, error.message()});
   Count("serve.protocol_errors");
 }
 
@@ -157,14 +116,12 @@ std::string BlitzServer::BuildReplyBody(
   return EncodeReplyBody(reply);
 }
 
-void BlitzServer::HandleRequest(
-    ServeConnection* conn, const std::shared_ptr<ServeConnection>& conn_ref,
-    RequestFrame frame) {
+void BlitzServer::HandleRequest(const std::shared_ptr<ServeConnection>& conn,
+                                RequestFrame frame) {
   // Introspection is answered before admission and before the draining
   // check — /statz must work while the server sheds everything else.
   if (frame.body == kStatzBody) {
-    Respond(conn,
-            ResponseFrame{frame.id, StatusCode::kOk, 0, StatzBody()});
+    Respond(*conn, ResponseFrame{frame.id, StatusCode::kOk, 0, StatzBody()});
     Count("serve.statz");
     return;
   }
@@ -172,8 +129,8 @@ void BlitzServer::HandleRequest(
   Count("serve.requests");
   const auto shed = [&](const Status& status, double retry_after_ms,
                         std::string_view counter) {
-    Respond(conn, ResponseFrame{frame.id, status.code(), retry_after_ms,
-                                status.message()});
+    Respond(*conn, ResponseFrame{frame.id, status.code(), retry_after_ms,
+                                 status.message()});
     Count(counter);
   };
 
@@ -200,7 +157,6 @@ void BlitzServer::HandleRequest(
 
   Job job;
   job.conn = conn;
-  job.conn_ref = conn_ref;
   job.id = frame.id;
   job.tenant = frame.tenant;
   job.body = std::move(frame.body);
@@ -233,7 +189,7 @@ void BlitzServer::HandleRequest(
           const std::string body =
               BuildReplyBody(*hit, parsed->catalog, estimator_kind);
           admission_.Release(job.tenant);
-          Respond(conn, ResponseFrame{job.id, StatusCode::kOk, 0, body});
+          Respond(*conn, ResponseFrame{job.id, StatusCode::kOk, 0, body});
           Count("serve.cache.hit");
           RecordLatencySample(start_time);
           return;
@@ -276,20 +232,12 @@ void BlitzServer::HandleRequest(
   }
 
   {
-    std::lock_guard<std::mutex> conn_lock(conn->mu);
-    ++conn->outstanding;
-  }
-  {
     std::unique_lock<std::mutex> lock(mu_);
     if (draining_ || stopping_ ||
         queue_.size() >= static_cast<std::size_t>(options_.max_queue)) {
       const bool full = !draining_ && !stopping_;
       lock.unlock();
       admission_.Release(job.tenant);
-      {
-        std::lock_guard<std::mutex> conn_lock(conn->mu);
-        --conn->outstanding;
-      }
       shed(Status::Unavailable(full ? "request queue is full"
                                     : "server is draining"),
            kShedRetryAfterMs,
@@ -414,7 +362,7 @@ void BlitzServer::ProcessJob(Job job) {
 }
 
 void BlitzServer::FinishJob(const Job& job, ResponseFrame response) {
-  Respond(job.conn, response);
+  Respond(*job.conn, response);
   admission_.Release(job.tenant);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -427,42 +375,27 @@ void BlitzServer::FinishJob(const Job& job, ResponseFrame response) {
                             : "serve.responses.error");
   }
   RecordLatencySample(job.enqueue_time);
-  // Last touch of the connection: once Serve's wait observes the decrement
-  // it may return and destroy the ServeConnection, so the notify must
-  // happen under conn->mu — notifying after unlock races a spurious wakeup
-  // in Serve and touches a dead condition_variable.
-  {
-    std::lock_guard<std::mutex> conn_lock(job.conn->mu);
-    --job.conn->outstanding;
-    job.conn->idle_cv.notify_all();
-  }
 }
 
 void BlitzServer::RecordLatencySample(
     std::chrono::steady_clock::time_point start) {
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    latency_.Record(seconds);
-  }
   if (MetricsRegistry* metrics = GlobalMetrics()) {
-    metrics->RecordLatency("serve.latency", seconds);
+    metrics->RecordLatency(
+        "serve.latency",
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
   }
 }
 
-void BlitzServer::Respond(ServeConnection* conn,
+void BlitzServer::Respond(const ServeConnection& conn,
                           const ResponseFrame& response) {
-  if (conn->sink != nullptr) {
-    conn->sink->SendResponse(response);
-  } else {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    Status written = conn->stream->Write(EncodeResponseFrame(response));
-    if (!written.ok()) Count("serve.write_errors");
+  // Counted before delivery: a client that has seen its answer also sees
+  // it in requests_answered().
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++requests_answered_;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++requests_answered_;
+  conn.sink->SendResponse(response);
 }
 
 std::string BlitzServer::StatzBody() const {
@@ -477,14 +410,18 @@ std::string BlitzServer::StatzBody() const {
     out += StrFormat("in_flight %d\n", in_flight_count_);
     out += StrFormat("queue_depth %zu\n", queue_.size());
     out += StrFormat("draining %d\n", draining_ || stopping_ ? 1 : 0);
-    out += StrFormat("latency_count %llu\n",
-                     static_cast<unsigned long long>(latency_.count()));
-    out += StrFormat("latency_p50_ms %.3f\n",
-                     latency_.Percentile(50) * 1e3);
-    out += StrFormat("latency_p95_ms %.3f\n",
-                     latency_.Percentile(95) * 1e3);
-    out += StrFormat("latency_p99_ms %.3f\n",
-                     latency_.Percentile(99) * 1e3);
+  }
+  out += StrFormat("connections_live %d\n",
+                   connections_live_->load(std::memory_order_relaxed));
+  if (const MetricsRegistry* metrics = GlobalMetrics()) {
+    for (const auto& [name, latency] : metrics->TakeSnapshot().histograms) {
+      if (name != "serve.latency") continue;
+      out += StrFormat("latency_count %llu\n",
+                       static_cast<unsigned long long>(latency.count));
+      out += StrFormat("latency_p50_ms %.3f\n", latency.p50 * 1e3);
+      out += StrFormat("latency_p95_ms %.3f\n", latency.p95 * 1e3);
+      out += StrFormat("latency_p99_ms %.3f\n", latency.p99 * 1e3);
+    }
   }
   out += StrFormat("workers %d\n", options_.num_workers);
   out += StrFormat("max_queue %d\n", options_.max_queue);

@@ -1,6 +1,7 @@
 #ifndef BLITZ_SERVE_SERVER_H_
 #define BLITZ_SERVE_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -15,10 +16,8 @@
 #include "api/optimize_query.h"
 #include "core/table_arena.h"
 #include "governor/budget.h"
-#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/plancache.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
 #include "textio/bjq.h"
 
@@ -73,52 +72,44 @@ struct ServerOptions {
   Status Validate() const;
 };
 
-/// Transport-side delivery hook for connections the server does not own
-/// (the epoll multiplexer, serve/mux.h). The server calls SendResponse once
-/// per submitted request — from worker threads or from inside
-/// SubmitRequest itself (sheds, /statz, cache hits) — so implementations
-/// must be thread-safe and must tolerate calls after their transport
-/// closed (drop the frame; the request still counts as answered).
+/// Transport-side delivery hook. The server calls SendResponse once per
+/// submitted request — from worker threads or from inside SubmitRequest
+/// itself (sheds, /statz, cache hits) — so implementations must be
+/// thread-safe and must tolerate calls after their transport closed (drop
+/// the frame; the request still counts as answered).
 class ResponseSink {
  public:
   virtual ~ResponseSink() = default;
   virtual void SendResponse(const ResponseFrame& response) = 0;
 };
 
-/// Per-connection shared state. Exactly one of `stream` (the blocking
-/// Serve path: workers serialize writes through write_mu) or `sink` (the
-/// frame-level OpenConnection path) is set. Serve waits for
-/// outstanding == 0 before returning so the stream outlives every queued
-/// response; sink connections rely on the shared_ptr instead.
+/// One client connection as the server sees it: where its responses go.
+/// Queued jobs share ownership, so a connection lives until the transport
+/// lets go of it and its last pending response is delivered.
 struct ServeConnection {
-  ByteStream* stream = nullptr;
   std::shared_ptr<ResponseSink> sink;
-  std::mutex write_mu;
-  std::mutex mu;
-  std::condition_variable idle_cv;
-  int outstanding = 0;
 };
 
 /// A multi-tenant optimizer server: frames in, plans out.
 ///
-/// Threading model: transports deliver parsed request frames either by
-/// running one blocking Serve(stream) per connection (reader thread each)
-/// or — the multiplexed path — by calling OpenConnection once and
-/// SubmitRequest per frame from a single event-loop thread (serve/mux.h).
-/// Both feed the same HandleRequest: /statz and plan-cache hits are
-/// answered inline on the submitting thread (no queue, no worker — this is
-/// what makes warm repeat traffic cheap); everything else is admitted into
-/// a bounded queue that num_workers dedicated threads drain, optimize
-/// (through the cache's single-flight GetOrCompute), and answer out of
-/// request order — clients match on frame id. One request can never take
-/// the process down: parse errors, admission sheds, budget exhaustion, and
-/// injected faults (serve.* points) all turn into status-coded response
-/// frames on the same connection.
+/// Threading model: a transport opens each client connection with
+/// OpenConnection and feeds it request frames (reassembled by a
+/// RequestFrameAssembler) through SubmitRequest — the epoll multiplexer
+/// (serve/mux.h) from its event-loop thread, blitzd --stdio from a
+/// blocking read loop. /statz and plan-cache hits are answered inline on
+/// the submitting thread (no queue, no worker — this is what makes warm
+/// repeat traffic cheap); everything else is admitted into a bounded queue
+/// that num_workers dedicated threads drain, optimize (through the cache's
+/// single-flight GetOrCompute), and answer out of request order — clients
+/// match on frame id. One request can never take the process down: parse
+/// errors, admission sheds, budget exhaustion, and injected faults
+/// (serve.* points) all turn into status-coded response frames on the same
+/// connection.
 ///
-/// Lifecycle: Create -> Serve / OpenConnection+SubmitRequest (any number,
-/// concurrently) -> BeginDrain -> Shutdown. Drain stops admitting (new
-/// requests shed with kUnavailable), waits drain_grace_ms for in-flight
-/// work, then cancels the remainder via their per-request
+/// Lifecycle: Create -> OpenConnection+SubmitRequest (any number of
+/// connections, concurrently) -> BeginDrain -> Shutdown. Drain stops
+/// admitting (new requests shed with kUnavailable), waits drain_grace_ms
+/// for in-flight work, then cancels the remainder via their per-request
 /// CancellationTokens — every admitted request is answered (a plan, an
 /// error, or kCancelled) before Shutdown returns.
 class BlitzServer {
@@ -131,15 +122,9 @@ class BlitzServer {
   BlitzServer(const BlitzServer&) = delete;
   BlitzServer& operator=(const BlitzServer&) = delete;
 
-  /// Serves one connection until its stream reaches end-of-stream or a
-  /// frame-alignment error. Blocks; every response owed to the connection
-  /// is written before this returns. Returns the protocol error that ended
-  /// the connection, or OK on clean EOF.
-  Status Serve(ByteStream* stream);
-
-  /// Frame-level connection API (the epoll multiplexer's entry points).
-  /// Responses flow back through `sink`; the server holds the shared_ptr
-  /// until the last outstanding response for the connection is delivered.
+  /// Opens a connection whose responses flow back through `sink`. Each
+  /// queued request holds the returned shared_ptr until it is answered;
+  /// the transport holds it while it may still submit.
   std::shared_ptr<ServeConnection> OpenConnection(
       std::shared_ptr<ResponseSink> sink);
 
@@ -149,9 +134,9 @@ class BlitzServer {
   void SubmitRequest(const std::shared_ptr<ServeConnection>& conn,
                      RequestFrame frame);
 
-  /// Reports a connection-level framing failure: answers once with id 0
-  /// (mirroring Serve's protocol-error path). The transport should stop
-  /// reading and close once pending responses flush.
+  /// Reports a connection-level framing failure: answers once with id 0.
+  /// The stream is no longer frame-aligned, so the transport stops reading
+  /// and closes once pending responses flush.
   void SubmitProtocolError(const std::shared_ptr<ServeConnection>& conn,
                            const Status& error);
 
@@ -180,8 +165,9 @@ class BlitzServer {
   PlanCache::Stats cache_stats() const { return cache_.GetStats(); }
 
   /// The /statz reply body: the blitz-statz-v1 magic line plus one
-  /// `<key> <value>` pair per line — queue/worker occupancy, cache
-  /// counters, latency percentiles, and per-tenant admission state.
+  /// `<key> <value>` pair per line — queue/worker occupancy, live
+  /// connections, cache counters, per-tenant admission state, and (when a
+  /// global MetricsRegistry is installed) the serve.latency percentiles.
   /// Forward-extensible: readers must ignore unknown keys.
   std::string StatzBody() const;
 
@@ -193,8 +179,7 @@ class BlitzServer {
   /// `spec`/`fingerprint` carry the reader-thread cache probe's work so a
   /// miss does not parse or canonicalize twice.
   struct Job {
-    ServeConnection* conn = nullptr;
-    std::shared_ptr<ServeConnection> conn_ref;  ///< Sink connections only.
+    std::shared_ptr<ServeConnection> conn;
     std::uint64_t id = 0;
     std::string tenant;
     std::string body;
@@ -208,8 +193,7 @@ class BlitzServer {
 
   explicit BlitzServer(ServerOptions options);
 
-  void HandleRequest(ServeConnection* conn,
-                     const std::shared_ptr<ServeConnection>& conn_ref,
+  void HandleRequest(const std::shared_ptr<ServeConnection>& conn,
                      RequestFrame frame);
   /// Builds the OK reply body for an optimization result.
   std::string BuildReplyBody(const OptimizedQuery& result,
@@ -218,7 +202,7 @@ class BlitzServer {
   void WorkerLoop();
   void ProcessJob(Job job);
   void FinishJob(const Job& job, ResponseFrame response);
-  void Respond(ServeConnection* conn, const ResponseFrame& response);
+  void Respond(const ServeConnection& conn, const ResponseFrame& response);
   void RecordLatencySample(std::chrono::steady_clock::time_point start);
   void CancelInFlight();
 
@@ -239,7 +223,10 @@ class BlitzServer {
   bool stopping_ = false;
   bool shut_down_ = false;
   std::uint64_t requests_answered_ = 0;
-  Histogram latency_;  ///< End-to-end request latency (seconds), under mu_.
+  /// ServeConnections not yet destroyed. Shared with each connection's
+  /// deleter, so a connection may outlive the server.
+  const std::shared_ptr<std::atomic<int>> connections_live_ =
+      std::make_shared<std::atomic<int>>(0);
 
   std::vector<std::thread> workers_;
 };

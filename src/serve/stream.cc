@@ -3,10 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 
 #include <limits.h>
 #include <poll.h>
@@ -37,20 +34,6 @@ int MsUntil(std::chrono::steady_clock::time_point deadline) {
 }
 
 }  // namespace
-
-Status ReadFull(ByteStream* stream, char* buf, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    Result<std::size_t> n = stream->Read(buf + got, len - got);
-    if (!n.ok()) return n.status();
-    if (*n == 0) {
-      return Status::Unavailable(
-          StrFormat("stream ended %zu bytes short", len - got));
-    }
-    got += *n;
-  }
-  return Status::OK();
-}
 
 FdStream::FdStream(int read_fd, int write_fd, bool own_fds, int wake_fd,
                    double write_timeout_ms)
@@ -173,94 +156,6 @@ void FdStream::Close() {
   }
   read_fd_ = -1;
   write_fd_ = -1;
-}
-
-namespace {
-
-/// One direction of the in-memory duplex: a bounded byte queue with
-/// blocking producer/consumer semantics and half-close.
-class PipeBuffer {
- public:
-  explicit PipeBuffer(std::size_t capacity) : capacity_(capacity) {}
-
-  Status Write(std::string_view data) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!data.empty()) {
-      space_cv_.wait(lock, [&] {
-        return bytes_.size() < capacity_ || closed_;
-      });
-      if (closed_) return Status::Unavailable("pipe closed");
-      const std::size_t take =
-          std::min(capacity_ - bytes_.size(), data.size());
-      bytes_.insert(bytes_.end(), data.begin(), data.begin() + take);
-      data.remove_prefix(take);
-      data_cv_.notify_all();
-    }
-    return Status::OK();
-  }
-
-  Result<std::size_t> Read(char* buf, std::size_t len) {
-    std::unique_lock<std::mutex> lock(mu_);
-    data_cv_.wait(lock, [&] { return !bytes_.empty() || closed_; });
-    if (bytes_.empty()) return std::size_t{0};  // Closed and drained: EOF.
-    const std::size_t got = std::min(len, bytes_.size());
-    std::copy_n(bytes_.begin(), got, buf);
-    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<long>(got));
-    space_cv_.notify_all();
-    return got;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    data_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
- private:
-  const std::size_t capacity_;
-  std::mutex mu_;
-  std::condition_variable data_cv_;
-  std::condition_variable space_cv_;
-  std::deque<char> bytes_;
-  bool closed_ = false;
-};
-
-/// One endpoint of the duplex: reads from one buffer, writes the other.
-class DuplexEndpoint : public ByteStream {
- public:
-  DuplexEndpoint(std::shared_ptr<PipeBuffer> in,
-                 std::shared_ptr<PipeBuffer> out)
-      : in_(std::move(in)), out_(std::move(out)) {}
-
-  ~DuplexEndpoint() override { Close(); }
-
-  Result<std::size_t> Read(char* buf, std::size_t len) override {
-    return in_->Read(buf, len);
-  }
-
-  Status Write(std::string_view data) override { return out_->Write(data); }
-
-  void CloseWrite() override { out_->Close(); }
-
-  void Close() override {
-    out_->Close();
-    in_->Close();
-  }
-
- private:
-  std::shared_ptr<PipeBuffer> in_;
-  std::shared_ptr<PipeBuffer> out_;
-};
-
-}  // namespace
-
-std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
-CreateDuplexPipe(std::size_t buffer_capacity) {
-  auto a_to_b = std::make_shared<PipeBuffer>(buffer_capacity);
-  auto b_to_a = std::make_shared<PipeBuffer>(buffer_capacity);
-  return {std::make_unique<DuplexEndpoint>(b_to_a, a_to_b),
-          std::make_unique<DuplexEndpoint>(a_to_b, b_to_a)};
 }
 
 }  // namespace blitz

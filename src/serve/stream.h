@@ -2,23 +2,20 @@
 #define BLITZ_SERVE_STREAM_H_
 
 #include <cstddef>
-#include <memory>
 #include <string_view>
-#include <utility>
 
 #include "common/status.h"
 
 namespace blitz {
 
-/// A blocking, bidirectional byte stream — the transport seam of the
-/// serving tier. The server and client speak frames (serve/wire.h) over
-/// this interface; concrete transports are a POSIX fd pair (sockets, pipes,
-/// stdio) and an in-memory duplex for tests and closed-loop benchmarks.
+/// A blocking, bidirectional byte stream: the transport under BlitzClient
+/// and blitzd --stdio, which speak frames (serve/wire.h) over it. The
+/// concrete transport is a POSIX fd pair (sockets, pipes, stdio).
 ///
 /// Threading contract: one reader thread and one writer thread may use a
-/// stream concurrently (the serving pattern: a connection's reader loop
-/// plus whichever worker finishes a response), but Read must not race Read
-/// and Write must not race Write — callers serialize their own side.
+/// stream concurrently (the stdio pattern: the read loop plus whichever
+/// worker finishes a response), but Read must not race Read and Write must
+/// not race Write — callers serialize their own side.
 class ByteStream {
  public:
   virtual ~ByteStream() = default;
@@ -37,9 +34,6 @@ class ByteStream {
   /// Full close; unblocks any reader with end-of-stream.
   virtual void Close() = 0;
 };
-
-/// Reads exactly `len` bytes; kUnavailable on a short stream.
-Status ReadFull(ByteStream* stream, char* buf, std::size_t len);
 
 /// A ByteStream over POSIX file descriptors. `read_fd` and `write_fd` may
 /// be the same (a socket) or distinct (a pipe pair / stdio). When
@@ -70,13 +64,6 @@ class FdStream : public ByteStream {
   const double write_timeout_ms_;
   bool socket_send_ = true;  ///< Until send(2) says ENOTSOCK.
 };
-
-/// An in-memory duplex pipe: Create() returns two connected endpoints, each
-/// a full ByteStream; bytes written to one are read from the other through
-/// a bounded buffer (blocking both ways). The unit-test and bench
-/// transport — no sockets, no fds, sanitizer-friendly.
-std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
-CreateDuplexPipe(std::size_t buffer_capacity = 1 << 16);
 
 }  // namespace blitz
 

@@ -42,45 +42,8 @@ bool ParseMsField(std::string_view field, std::string_view key, double* out) {
   return true;
 }
 
-}  // namespace
-
-bool IsValidTenantName(std::string_view tenant) {
-  if (tenant.empty() || tenant.size() > 64) return false;
-  for (const char c : tenant) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-        c != '.' && c != '-') {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string EncodeRequestFrame(const RequestFrame& frame) {
-  std::string header = StrFormat(
-      "%.*s %s %llu %llu", static_cast<int>(kRequestMagic.size()),
-      kRequestMagic.data(), frame.tenant.c_str(),
-      static_cast<unsigned long long>(frame.id),
-      static_cast<unsigned long long>(frame.body.size()));
-  if (frame.deadline_ms > 0) {
-    header += StrFormat(" deadline_ms=%g", frame.deadline_ms);
-  }
-  header += '\n';
-  return header + frame.body;
-}
-
-std::string EncodeResponseFrame(const ResponseFrame& frame) {
-  std::string header = StrFormat(
-      "%.*s %llu %s %llu", static_cast<int>(kResponseMagic.size()),
-      kResponseMagic.data(), static_cast<unsigned long long>(frame.id),
-      StatusCodeToString(frame.code),
-      static_cast<unsigned long long>(frame.body.size()));
-  if (frame.retry_after_ms > 0) {
-    header += StrFormat(" retry_after_ms=%g", frame.retry_after_ms);
-  }
-  header += '\n';
-  return header + frame.body;
-}
-
+/// Parses one header line (everything before the '\n', magic included)
+/// into the frame's header fields plus the declared body byte count.
 Result<RequestFrame> ParseRequestHeader(std::string_view line,
                                         std::uint64_t* body_bytes) {
   const std::vector<std::string> fields = StrSplit(line, ' ');
@@ -129,6 +92,45 @@ Result<ResponseFrame> ParseResponseHeader(std::string_view line,
     return Status::InvalidArgument("bad response field: " + fields[4]);
   }
   return frame;
+}
+
+}  // namespace
+
+bool IsValidTenantName(std::string_view tenant) {
+  if (tenant.empty() || tenant.size() > 64) return false;
+  for (const char c : tenant) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+        c != '.' && c != '-') {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string EncodeRequestFrame(const RequestFrame& frame) {
+  std::string header = StrFormat(
+      "%.*s %s %llu %llu", static_cast<int>(kRequestMagic.size()),
+      kRequestMagic.data(), frame.tenant.c_str(),
+      static_cast<unsigned long long>(frame.id),
+      static_cast<unsigned long long>(frame.body.size()));
+  if (frame.deadline_ms > 0) {
+    header += StrFormat(" deadline_ms=%g", frame.deadline_ms);
+  }
+  header += '\n';
+  return header + frame.body;
+}
+
+std::string EncodeResponseFrame(const ResponseFrame& frame) {
+  std::string header = StrFormat(
+      "%.*s %llu %s %llu", static_cast<int>(kResponseMagic.size()),
+      kResponseMagic.data(), static_cast<unsigned long long>(frame.id),
+      StatusCodeToString(frame.code),
+      static_cast<unsigned long long>(frame.body.size()));
+  if (frame.retry_after_ms > 0) {
+    header += StrFormat(" retry_after_ms=%g", frame.retry_after_ms);
+  }
+  header += '\n';
+  return header + frame.body;
 }
 
 template <typename Header>
@@ -197,77 +199,6 @@ Status FrameAssembler<Header>::Feed(std::string_view bytes,
 
 template class FrameAssembler<RequestFrame>;
 template class FrameAssembler<ResponseFrame>;
-
-Result<std::optional<std::string>> FrameReader::ReadHeaderLine() {
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return std::optional<std::string>(std::move(line));
-    }
-    if (buffer_.size() > limits_.max_header_bytes) {
-      return Status::InvalidArgument(
-          StrFormat("frame header exceeds %zu bytes",
-                    limits_.max_header_bytes));
-    }
-    char chunk[4096];
-    Result<std::size_t> n = stream_->Read(chunk, sizeof(chunk));
-    if (!n.ok()) return n.status();
-    if (*n == 0) {
-      if (buffer_.empty()) return std::optional<std::string>();  // Clean EOF.
-      return Status::InvalidArgument("stream ended mid-header");
-    }
-    buffer_.append(chunk, *n);
-  }
-}
-
-Status FrameReader::ReadBody(std::uint64_t body_bytes, std::string* out) {
-  if (body_bytes > limits_.max_body_bytes) {
-    return Status::ResourceExhausted(
-        StrFormat("frame body of %llu bytes exceeds the %llu-byte limit",
-                  static_cast<unsigned long long>(body_bytes),
-                  static_cast<unsigned long long>(limits_.max_body_bytes)));
-  }
-  const std::size_t want = static_cast<std::size_t>(body_bytes);
-  if (buffer_.size() >= want) {
-    *out = buffer_.substr(0, want);
-    buffer_.erase(0, want);
-    return Status::OK();
-  }
-  *out = std::move(buffer_);
-  buffer_.clear();
-  const std::size_t have = out->size();
-  out->resize(want);
-  Status read = ReadFull(stream_, out->data() + have, want - have);
-  if (!read.ok()) {
-    return Status::InvalidArgument("stream ended mid-body: " +
-                                   read.message());
-  }
-  return Status::OK();
-}
-
-Result<std::optional<RequestFrame>> FrameReader::ReadRequest() {
-  Result<std::optional<std::string>> line = ReadHeaderLine();
-  if (!line.ok()) return line.status();
-  if (!line->has_value()) return std::optional<RequestFrame>();
-  std::uint64_t body_bytes = 0;
-  Result<RequestFrame> frame = ParseRequestHeader(**line, &body_bytes);
-  if (!frame.ok()) return frame.status();
-  BLITZ_RETURN_IF_ERROR(ReadBody(body_bytes, &frame->body));
-  return std::optional<RequestFrame>(std::move(*frame));
-}
-
-Result<std::optional<ResponseFrame>> FrameReader::ReadResponse() {
-  Result<std::optional<std::string>> line = ReadHeaderLine();
-  if (!line.ok()) return line.status();
-  if (!line->has_value()) return std::optional<ResponseFrame>();
-  std::uint64_t body_bytes = 0;
-  Result<ResponseFrame> frame = ParseResponseHeader(**line, &body_bytes);
-  if (!frame.ok()) return frame.status();
-  BLITZ_RETURN_IF_ERROR(ReadBody(body_bytes, &frame->body));
-  return std::optional<ResponseFrame>(std::move(*frame));
-}
 
 std::string EncodeReplyBody(const ServeReply& reply) {
   std::string out;

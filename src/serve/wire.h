@@ -8,12 +8,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "serve/stream.h"
 
 namespace blitz {
 
 /// The blitzd wire protocol ("blitz-serve-v1"): length-framed .bjq requests
-/// and status-coded responses over any ByteStream. Each frame is one ASCII
+/// and status-coded responses over any byte stream. Each frame is one ASCII
 /// header line followed by exactly `body_bytes` bytes of payload, so a
 /// reader never scans untrusted bytes for a delimiter beyond the (bounded)
 /// header:
@@ -62,7 +61,7 @@ namespace blitz {
 /// BlitzServer::StatzBody). Readers ignore unknown keys.
 ///
 /// Malformed or over-limit headers are a *connection*-level failure
-/// (kInvalidArgument / kResourceExhausted from ReadRequestFrame): the
+/// (kInvalidArgument / kResourceExhausted from FrameAssembler::Feed): the
 /// stream can no longer be trusted to be frame-aligned, so the server
 /// answers once with id 0 and closes. Body-level problems (bad .bjq) are
 /// request-level and answered normally.
@@ -103,25 +102,14 @@ struct ResponseFrame {
 std::string EncodeRequestFrame(const RequestFrame& frame);
 std::string EncodeResponseFrame(const ResponseFrame& frame);
 
-/// Parses one request header line (everything before the '\n', magic
-/// included) into the frame's header fields plus the body byte count the
-/// sender declared. Shared by the blocking FrameReader and the epoll
-/// multiplexer's incremental assembler so both enforce identical framing.
-Result<RequestFrame> ParseRequestHeader(std::string_view line,
-                                        std::uint64_t* body_bytes);
-
-/// Response-side counterpart of ParseRequestHeader.
-Result<ResponseFrame> ParseResponseHeader(std::string_view line,
-                                          std::uint64_t* body_bytes);
-
-/// Incremental frame reassembly for nonblocking transports: bytes go in as
-/// they arrive off the wire, complete frames come out. The state machine
-/// has two states — accumulating a header line (bounded by
-/// max_header_bytes) and accumulating a body (bounded by max_body_bytes,
-/// checked before a single body byte is buffered) — and enforces exactly
-/// the limits and error conditions of the blocking FrameReader: any error
-/// means the stream is no longer frame-aligned and the connection must
-/// end after one id-0 response.
+/// Incremental frame reassembly, the protocol's one frame parser: bytes go
+/// in as they arrive off the wire, in chunks of any size, and complete
+/// frames come out. Every transport reads through it — the epoll
+/// multiplexer, blitzd --stdio, and BlitzClient. The state machine has two
+/// states — accumulating a header line (bounded by max_header_bytes) and
+/// accumulating a body (bounded by max_body_bytes, checked before a single
+/// body byte is buffered). Any error means the stream is no longer
+/// frame-aligned and the connection must end after one id-0 response.
 ///
 /// `Header` is the per-frame header type (RequestFrame or ResponseFrame).
 template <typename Header>
@@ -149,30 +137,6 @@ class FrameAssembler {
 
 using RequestFrameAssembler = FrameAssembler<RequestFrame>;
 using ResponseFrameAssembler = FrameAssembler<ResponseFrame>;
-
-/// Buffered frame reader over a ByteStream (one per connection side).
-class FrameReader {
- public:
-  FrameReader(ByteStream* stream, const WireLimits& limits)
-      : stream_(stream), limits_(limits) {}
-
-  /// Next request frame; nullopt on clean end-of-stream at a frame
-  /// boundary. Errors mean the stream is no longer frame-aligned.
-  Result<std::optional<RequestFrame>> ReadRequest();
-
-  /// Next response frame; nullopt on clean end-of-stream.
-  Result<std::optional<ResponseFrame>> ReadResponse();
-
- private:
-  /// Reads through the next '\n' (nullopt on EOF before any byte;
-  /// kInvalidArgument past max_header_bytes without one).
-  Result<std::optional<std::string>> ReadHeaderLine();
-  Status ReadBody(std::uint64_t body_bytes, std::string* out);
-
-  ByteStream* stream_;
-  WireLimits limits_;
-  std::string buffer_;  ///< Bytes read past the last consumed frame.
-};
 
 /// The parsed payload of an OK response body.
 struct ServeReply {

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,8 +22,8 @@
 #include "exec/stats.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
+#include "serve_harness.h"
 #include "testing/corpus.h"
 #include "textio/bjq.h"
 
@@ -190,40 +189,15 @@ TEST(BjqJobDirectivesTest, EstimatorDirectiveParsesAndRoundTrips) {
 // ---------------------------------------------------------------------------
 // Serving: the estimator directive over the wire.
 
-class TestConnection {
- public:
-  explicit TestConnection(BlitzServer* server) {
-    auto [client_end, server_end] = CreateDuplexPipe();
-    client_end_ = std::move(client_end);
-    server_end_ = std::move(server_end);
-    thread_ = std::thread([server, stream = server_end_.get()] {
-      (void)server->Serve(stream);
-    });
-  }
-
-  ~TestConnection() {
-    if (thread_.joinable()) {
-      client_end_->CloseWrite();
-      thread_.join();
-    }
-  }
-
-  ByteStream* stream() { return client_end_.get(); }
-
- private:
-  std::unique_ptr<ByteStream> client_end_;
-  std::unique_ptr<ByteStream> server_end_;
-  std::thread thread_;
-};
+using testing::MuxConnection;
+using testing::MuxHarness;
 
 constexpr char kServeBody[] =
     "relation A 100\nrelation B 200\npredicate A B 0.1\n";
 
 TEST(JobServeTest, ReplyCarriesTheResolvedEstimator) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   Result<ServeReply> plain = client.Optimize(kServeBody);
@@ -237,10 +211,8 @@ TEST(JobServeTest, ReplyCarriesTheResolvedEstimator) {
 }
 
 TEST(JobServeTest, HistIsRejectedPerRequest) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   Result<ServeReply> hist =
@@ -258,9 +230,8 @@ TEST(JobServeTest, HistIsRejectedAsAServerDefault) {
 TEST(JobServeTest, NoestServerDefaultAppliesWhenUnspecified) {
   ServerOptions options;
   options.default_estimator = EstimatorKind::kNoEstimate;
-  Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   Result<ServeReply> reply = client.Optimize(kServeBody);

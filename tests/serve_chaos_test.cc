@@ -1,6 +1,7 @@
 // Chaos suite for the serving tier: every serve.* fault point is armed
-// while concurrent fuzzer-generated traffic flows, and the invariants are
-// checked each time — every request gets a well-formed status-coded
+// while concurrent fuzzer-generated traffic flows through the epoll
+// multiplexer (the path blitzd runs), and the invariants are checked each
+// time — every request gets a well-formed status-coded
 // response, the process never dies, and the server keeps serving after the
 // fault clears. Run under ASan/UBSan in CI (the serve-soak job) this also
 // pins "no leaks on any error path".
@@ -17,13 +18,16 @@
 #include "governor/faultpoints.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
+#include "serve_harness.h"
 #include "testing/fuzzer.h"
 #include "textio/bjq.h"
 
 namespace blitz {
 namespace {
+
+using testing::MuxConnection;
+using testing::MuxHarness;
 
 constexpr char kSmallBjq[] =
     "relation A 100\nrelation B 200\npredicate A B 0.1\n";
@@ -45,25 +49,19 @@ struct LoadReport {
   bool all_well_formed = true;
 };
 
-/// Runs `clients` pipelining connections against `server`, each sending
+/// Runs `clients` pipelining connections against `harness`, each sending
 /// `per_client` mixed-n fuzzer queries, and validates every response frame.
-LoadReport RunLoad(BlitzServer* server, int clients, int per_client,
+LoadReport RunLoad(MuxHarness* harness, int clients, int per_client,
                    std::uint64_t seed) {
   std::vector<LoadReport> reports(static_cast<std::size_t>(clients));
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([server, per_client, seed, c,
+    threads.emplace_back([harness, per_client, seed, c,
                           report = &reports[static_cast<std::size_t>(c)]] {
-      auto [client_end, server_end] = CreateDuplexPipe();
-      std::thread serve_thread([server, stream = server_end.get()] {
-        (void)server->Serve(stream);
-        // If the connection ended early (accept fault, protocol error) the
-        // buffered responses stay readable but the client must see EOF.
-        stream->Close();
-      });
+      MuxConnection conn(harness);
       BlitzClient::Options options;
       options.tenant = "chaos-" + std::to_string(c);
-      BlitzClient client(client_end.get(), std::move(options));
+      BlitzClient client(conn.stream(), std::move(options));
       int sent = 0;
       for (int i = 0; i < per_client; ++i) {
         if (client
@@ -77,8 +75,9 @@ LoadReport RunLoad(BlitzServer* server, int clients, int per_client,
         Result<std::optional<ResponseFrame>> response = client.Receive();
         if (!response.ok() || !response->has_value()) {
           // A serve.accept fault ends the connection after one id-0
-          // response; the remaining sends are answered by EOF. That is
-          // well-formed shedding, not a protocol violation.
+          // response; the remaining sends are answered by EOF (or a reset,
+          // when the server closed with them unread). That is well-formed
+          // shedding, not a protocol violation.
           break;
         }
         ++report->responses;
@@ -94,9 +93,7 @@ LoadReport RunLoad(BlitzServer* server, int clients, int per_client,
           ++report->errors;
         }
       }
-      client_end->CloseWrite();
-      serve_thread.join();
-      client_end->Close();
+      conn.Finish();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -126,13 +123,11 @@ class ServeChaosTest : public ::testing::Test {
 
     ServerOptions options;
     options.num_workers = 4;
-    Result<std::unique_ptr<BlitzServer>> server =
-        BlitzServer::Create(options);
-    ASSERT_TRUE(server.ok());
+    MuxHarness harness(options);
 
     registry.Arm(point, spec);
     const LoadReport report =
-        RunLoad(server->get(), /*clients=*/4, /*per_client=*/8,
+        RunLoad(&harness, /*clients=*/4, /*per_client=*/8,
                 /*seed=*/20260808);
     EXPECT_TRUE(report.all_well_formed) << point;
     EXPECT_GT(report.responses, 0) << point;
@@ -140,20 +135,15 @@ class ServeChaosTest : public ::testing::Test {
 
     // The fault was bounded; once spent, the server must serve normally.
     registry.Disarm(point);
-    auto [client_end, server_end] = CreateDuplexPipe();
-    std::thread serve_thread(
-        [&server, stream = server_end.get()] {
-          (void)(*server)->Serve(stream);
-        });
-    BlitzClient client(client_end.get(), BlitzClient::Options{});
+    MuxConnection conn(&harness);
+    BlitzClient client(conn.stream(), BlitzClient::Options{});
     Result<ServeReply> after = client.Optimize(kSmallBjq);
     EXPECT_TRUE(after.ok()) << point << ": " << after.status().ToString();
-    client_end->CloseWrite();
-    serve_thread.join();
+    conn.Finish();
 
-    (*server)->Shutdown();
+    EXPECT_TRUE(harness.Finish().ok()) << point;
     // No request may be left unanswered or double-answered.
-    EXPECT_EQ((*server)->in_flight(), 0) << point;
+    EXPECT_EQ(harness.server()->in_flight(), 0) << point;
   }
 };
 
@@ -214,14 +204,10 @@ TEST_F(ServeChaosTest, DrainFaultForcesImmediateCancellation) {
   ServerOptions options;
   options.num_workers = 2;
   options.drain_grace_ms = 60000;  // Without the fault, drain would idle.
-  Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-
-  auto [client_end, server_end] = CreateDuplexPipe();
-  std::thread serve_thread([&server, stream = server_end.get()] {
-    (void)(*server)->Serve(stream);
-  });
-  BlitzClient client(client_end.get(), BlitzClient::Options{});
+  MuxHarness harness(options);
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
+  BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   fuzz::FuzzerOptions fuzz_options;
   fuzz_options.seed = 99;
@@ -233,7 +219,7 @@ TEST_F(ServeChaosTest, DrainFaultForcesImmediateCancellation) {
       client
           .Send(WriteBjq(fuzz::ToQuerySpec(*slow_case, CostModelKind::kNaive)))
           .ok());
-  while ((*server)->in_flight() == 0) {
+  while (server->in_flight() == 0) {
     std::this_thread::yield();
   }
 
@@ -242,8 +228,8 @@ TEST_F(ServeChaosTest, DrainFaultForcesImmediateCancellation) {
   registry.Arm(kFaultServeDrain, spec);
   // The armed fault voids the 60s grace: Shutdown must cancel and return
   // promptly instead of waiting out the long optimization.
-  (*server)->BeginDrain();
-  (*server)->Shutdown();
+  server->BeginDrain();
+  server->Shutdown();
   EXPECT_GT(registry.hits(kFaultServeDrain), 0u);
 
   Result<std::optional<ResponseFrame>> response = client.Receive();
@@ -253,8 +239,7 @@ TEST_F(ServeChaosTest, DrainFaultForcesImmediateCancellation) {
               (*response)->code == StatusCode::kCancelled)
       << StatusCodeToString((*response)->code);
 
-  client_end->CloseWrite();
-  serve_thread.join();
+  conn.Finish();
 }
 
 // All five points armed at once under load: the everything-is-on-fire run.
@@ -264,8 +249,7 @@ TEST_F(ServeChaosTest, AllPointsArmedTogether) {
 
   ServerOptions options;
   options.num_workers = 4;
-  Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
+  MuxHarness harness(options);
 
   FaultSpec fail;
   fail.kind = FaultKind::kFailStatus;
@@ -280,14 +264,14 @@ TEST_F(ServeChaosTest, AllPointsArmedTogether) {
   registry.Arm(kFaultServeArenaAlloc, alloc);
   registry.Arm(kFaultServeCacheInsert, fail);
 
-  const LoadReport report = RunLoad(server->get(), /*clients=*/6,
+  const LoadReport report = RunLoad(&harness, /*clients=*/6,
                                     /*per_client=*/8, /*seed=*/777);
   EXPECT_TRUE(report.all_well_formed);
   EXPECT_GT(report.responses, 0);
   EXPECT_GT(report.ok, 0);  // Most traffic still lands plans.
 
-  (*server)->Shutdown();
-  EXPECT_EQ((*server)->in_flight(), 0);
+  EXPECT_TRUE(harness.Finish().ok());
+  EXPECT_EQ(harness.server()->in_flight(), 0);
 }
 
 }  // namespace

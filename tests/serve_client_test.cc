@@ -1,10 +1,15 @@
 // Tests for the client library (serve/client.h): retry/backoff behavior
-// against a scripted in-process peer.
+// and response framing against a scripted in-process peer.
 
 #include "serve/client.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,15 +24,17 @@ namespace {
 
 constexpr char kBjq[] = "relation A 100\nrelation B 200\npredicate A B 0.1\n";
 
-/// A scripted peer: answers request k with responses[k] (echoing the
-/// request id), then keeps serving until the client half-closes.
+/// A scripted peer over a socketpair: answers request k with
+/// responses[k] (echoing the request id), then keeps serving until the
+/// client hangs up.
 class ScriptedServer {
  public:
   explicit ScriptedServer(std::vector<ResponseFrame> responses)
       : responses_(std::move(responses)) {
-    auto [client_end, server_end] = CreateDuplexPipe();
-    client_end_ = std::move(client_end);
-    server_end_ = std::move(server_end);
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) std::abort();
+    client_end_ = std::make_unique<FdStream>(fds[0], fds[0], true);
+    server_end_ = std::make_unique<FdStream>(fds[1], fds[1], true);
     thread_ = std::thread([this] { Run(); });
   }
 
@@ -41,20 +48,26 @@ class ScriptedServer {
 
  private:
   void Run() {
-    FrameReader reader(server_end_.get(), WireLimits{});
+    RequestFrameAssembler assembler{WireLimits{}};
+    std::vector<RequestFrame> requests;
+    char buf[4096];
     for (;;) {
-      Result<std::optional<RequestFrame>> request = reader.ReadRequest();
-      if (!request.ok() || !request->has_value()) return;
-      ResponseFrame response;
-      if (static_cast<std::size_t>(requests_seen_) < responses_.size()) {
-        response = responses_[static_cast<std::size_t>(requests_seen_)];
-      } else {
-        response.code = StatusCode::kInternal;
-        response.body = "script exhausted";
+      Result<std::size_t> n = server_end_->Read(buf, sizeof(buf));
+      if (!n.ok() || *n == 0) return;
+      requests.clear();
+      if (!assembler.Feed(std::string_view(buf, *n), &requests).ok()) return;
+      for (const RequestFrame& request : requests) {
+        ResponseFrame response;
+        if (static_cast<std::size_t>(requests_seen_) < responses_.size()) {
+          response = responses_[static_cast<std::size_t>(requests_seen_)];
+        } else {
+          response.code = StatusCode::kInternal;
+          response.body = "script exhausted";
+        }
+        ++requests_seen_;
+        response.id = request.id;
+        if (!server_end_->Write(EncodeResponseFrame(response)).ok()) return;
       }
-      ++requests_seen_;
-      response.id = (*request)->id;
-      if (!server_end_->Write(EncodeResponseFrame(response)).ok()) return;
     }
   }
 
@@ -62,7 +75,7 @@ class ScriptedServer {
   std::unique_ptr<ByteStream> client_end_;
   std::unique_ptr<ByteStream> server_end_;
   std::thread thread_;
-  int requests_seen_ = 0;
+  std::atomic<int> requests_seen_{0};
 };
 
 ResponseFrame Ok() {
@@ -220,14 +233,79 @@ TEST(ClientTest, InvalidTenantFailsFastWithoutTouchingTheWire) {
 }
 
 TEST(ClientTest, ConnectionClosedMidCallIsUnavailable) {
-  auto [client_end, server_end] = CreateDuplexPipe();
-  server_end->Close();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  FdStream client_end(fds[0], fds[0], /*own_fds=*/true);
   BlitzClient::Options options;
   options.sleep_ms = [](double) {};
-  BlitzClient client(client_end.get(), std::move(options));
+  BlitzClient client(&client_end, std::move(options));
   Result<ServeReply> reply = client.Optimize(kBjq);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ClientTest, ReceiveReassemblesFramesSplitAcrossReads) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FdStream client_end(fds[0], fds[0], /*own_fds=*/true);
+  ResponseFrame first = Ok();
+  first.id = 1;
+  ResponseFrame second = Shed(StatusCode::kUnavailable, 20);
+  second.id = 2;
+  const std::string wire =
+      EncodeResponseFrame(first) + EncodeResponseFrame(second);
+  std::thread writer([&] {
+    for (const char byte : wire) {
+      ASSERT_EQ(::send(fds[1], &byte, 1, MSG_NOSIGNAL), 1);
+    }
+    ::close(fds[1]);
+  });
+  BlitzClient client(&client_end, BlitzClient::Options{});
+  for (const ResponseFrame& want : {first, second}) {
+    Result<std::optional<ResponseFrame>> got = client.Receive();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got->has_value());
+    EXPECT_EQ(EncodeResponseFrame(**got), EncodeResponseFrame(want));
+  }
+  Result<std::optional<ResponseFrame>> eof = client.Receive();
+  ASSERT_TRUE(eof.ok());
+  EXPECT_FALSE(eof->has_value());
+  writer.join();
+}
+
+TEST(ClientTest, ReceiveDeliversFramesBeforeAFramingError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FdStream client_end(fds[0], fds[0], /*own_fds=*/true);
+  const std::string wire = EncodeResponseFrame(Ok()) + "not a frame\n";
+  ASSERT_EQ(::send(fds[1], wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  BlitzClient client(&client_end, BlitzClient::Options{});
+  Result<std::optional<ResponseFrame>> frame = client.Receive();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_TRUE(frame->has_value());
+  EXPECT_EQ((*frame)->code, StatusCode::kOk);
+  // The error is sticky: the stream is no longer frame-aligned.
+  for (int i = 0; i < 2; ++i) {
+    Result<std::optional<ResponseFrame>> error = client.Receive();
+    ASSERT_FALSE(error.ok());
+    EXPECT_EQ(error.status().code(), StatusCode::kInvalidArgument);
+  }
+  ::close(fds[1]);
+}
+
+TEST(ClientTest, EofInsideAFrameIsAnError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FdStream client_end(fds[0], fds[0], /*own_fds=*/true);
+  const std::string wire = EncodeResponseFrame(Ok());
+  ASSERT_GT(::send(fds[1], wire.data(), wire.size() - 1, MSG_NOSIGNAL), 0);
+  ::close(fds[1]);
+  BlitzClient client(&client_end, BlitzClient::Options{});
+  Result<std::optional<ResponseFrame>> truncated = client.Receive();
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

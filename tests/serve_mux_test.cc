@@ -1,21 +1,20 @@
 // Edge-case tests for the epoll connection multiplexer (serve/mux.h):
 // fragmented frames, cross-connection error isolation, mid-frame
 // disconnects, the slow-loris write timeout, /statz over the mux,
-// serve.epoll.wait fault injection, and a 1k-socket SIGTERM-style drain
-// with exactly-once response accounting.
+// serve.epoll.wait fault injection, a 1k-socket SIGTERM-style drain with
+// exactly-once response accounting, and 10k open/use/close cycles that
+// must leave no connection alive.
 
 #include "serve/mux.h"
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,6 +27,7 @@
 #include "serve/server.h"
 #include "serve/stream.h"
 #include "serve/wire.h"
+#include "serve_harness.h"
 
 namespace blitz {
 namespace {
@@ -35,79 +35,7 @@ namespace {
 constexpr char kSmallBjq[] =
     "relation A 100\nrelation B 200\npredicate A B 0.1\n";
 
-/// A unix-socket listener plus the wake pipe and mux thread: the blitzd
-/// serving topology in miniature. Connections are blocking FdStreams on the
-/// client side; the mux side is nonblocking by construction.
-class MuxHarness {
- public:
-  explicit MuxHarness(ServerOptions server_options = ServerOptions{},
-                      MuxOptions mux_options = MuxOptions{}) {
-    std::snprintf(path_, sizeof(path_), "/tmp/blitz_mux_test_%d_%p.sock",
-                  ::getpid(), static_cast<void*>(this));
-    ::unlink(path_);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_, std::strlen(path_) + 1);
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              0)
-        << strerror(errno);
-    EXPECT_EQ(::listen(listen_fd_, 1024), 0);
-    EXPECT_EQ(::pipe(wake_pipe_), 0);
-
-    Result<std::unique_ptr<BlitzServer>> server =
-        BlitzServer::Create(server_options);
-    EXPECT_TRUE(server.ok()) << server.status().ToString();
-    server_ = std::move(*server);
-
-    mux_options.listen_fd = listen_fd_;
-    mux_options.wake_fd = wake_pipe_[0];
-    thread_ = std::thread([this, mux_options] {
-      served_ = ServeMultiplexed(server_.get(), mux_options);
-    });
-  }
-
-  ~MuxHarness() {
-    Finish();
-    ::close(listen_fd_);
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
-    ::unlink(path_);
-  }
-
-  /// Fires the wake fd (the SIGTERM analog) and joins the mux thread.
-  Status Finish() {
-    if (thread_.joinable()) {
-      const char byte = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-      thread_.join();
-    }
-    return served_;
-  }
-
-  /// Opens one blocking client connection.
-  int Connect() {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_, std::strlen(path_) + 1);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0)
-        << strerror(errno);
-    return fd;
-  }
-
-  BlitzServer* server() { return server_.get(); }
-
- private:
-  char path_[128];
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::unique_ptr<BlitzServer> server_;
-  std::thread thread_;
-  Status served_ = Status::OK();
-};
+using testing::MuxHarness;
 
 TEST(ServeMuxTest, AnswersRequestsAndDrainsCleanly) {
   MuxHarness harness;
@@ -141,8 +69,8 @@ TEST(ServeMuxTest, ReassemblesByteAtATimeFrames) {
     if ((c & 3) == 0) std::this_thread::yield();
   }
   FdStream stream(fd, fd, /*own_fds=*/true);
-  FrameReader reader(&stream, WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  BlitzClient reader(&stream, BlitzClient::Options{});
+  Result<std::optional<ResponseFrame>> response = reader.Receive();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 7u);
@@ -168,13 +96,13 @@ TEST(ServeMuxTest, GarbageOnOneConnectionDoesNotPoisonAnother) {
 
   // The bad connection got the id-0 protocol error and was closed.
   FdStream bad(bad_fd, bad_fd, /*own_fds=*/true);
-  FrameReader reader(&bad, WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  BlitzClient reader(&bad, BlitzClient::Options{});
+  Result<std::optional<ResponseFrame>> response = reader.Receive();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 0u);
   EXPECT_EQ((*response)->code, StatusCode::kInvalidArgument);
-  Result<std::optional<ResponseFrame>> eof = reader.ReadResponse();
+  Result<std::optional<ResponseFrame>> eof = reader.Receive();
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof->has_value());
 
@@ -337,10 +265,10 @@ TEST(ServeMuxTest, ThousandSocketDrainAnswersEverythingExactlyOnce) {
   int answered = 0;
   for (int i = 0; i < kConns; ++i) {
     FdStream stream(fds[i], fds[i], /*own_fds=*/true);
-    FrameReader reader(&stream, WireLimits{});
+    BlitzClient reader(&stream, BlitzClient::Options{});
     int responses = 0;
     for (;;) {
-      Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+      Result<std::optional<ResponseFrame>> response = reader.Receive();
       if (!response.ok()) {
         // A drain-time close that leaves our request unread in the server's
         // receive queue surfaces as ECONNRESET rather than a clean FIN (the
@@ -364,6 +292,77 @@ TEST(ServeMuxTest, ThousandSocketDrainAnswersEverythingExactlyOnce) {
   EXPECT_GE(answered, 1);
   EXPECT_EQ(harness.server()->requests_answered(),
             static_cast<std::uint64_t>(answered));
+}
+
+/// The connections_live gauge in a /statz body.
+int LiveConnections(BlitzServer* server) {
+  const std::string statz = server->StatzBody();
+  const std::string key = "\nconnections_live ";
+  const std::size_t at = statz.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoi(statz.c_str() + at + key.size());
+}
+
+// Open, use (one request each) and close 10k connections, at most 500 open
+// at once: every request is answered exactly once, and closed connections
+// release their server-side state, so the live-connection gauge returns to
+// its idle value of zero.
+TEST(ServeMuxTest, TenThousandOpenCloseCyclesLeaveNoConnectionAlive) {
+  ServerOptions server_options;
+  server_options.admission.default_quota.max_in_flight = 1024;
+  server_options.max_queue = 1024;
+  MuxHarness harness(server_options);
+  ASSERT_EQ(LiveConnections(harness.server()), 0);
+
+  constexpr int kConns = 10000;
+  constexpr int kBatch = 500;
+  RequestFrame frame;
+  frame.tenant = "churn";
+  frame.body = kSmallBjq;
+  std::map<StatusCode, int> codes;
+  for (int first = 0; first < kConns; first += kBatch) {
+    std::vector<int> fds;
+    for (int i = first; i < first + kBatch; ++i) {
+      const int fd = harness.Connect();
+      ASSERT_GE(fd, 0) << "conn " << i;
+      fds.push_back(fd);
+      frame.id = static_cast<std::uint64_t>(i) + 1;
+      const std::string encoded = EncodeRequestFrame(frame);
+      ASSERT_EQ(::send(fd, encoded.data(), encoded.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(encoded.size()));
+      ::shutdown(fd, SHUT_WR);
+    }
+    for (int i = first; i < first + kBatch; ++i) {
+      FdStream stream(fds[static_cast<std::size_t>(i - first)],
+                      fds[static_cast<std::size_t>(i - first)],
+                      /*own_fds=*/true);
+      BlitzClient reader(&stream, BlitzClient::Options{});
+      Result<std::optional<ResponseFrame>> response = reader.Receive();
+      ASSERT_TRUE(response.ok()) << "conn " << i << ": "
+                                 << response.status().ToString();
+      ASSERT_TRUE(response->has_value()) << "conn " << i;
+      EXPECT_EQ((*response)->id, static_cast<std::uint64_t>(i) + 1);
+      ++codes[(*response)->code];
+      // Exactly once: the server closes after the one answer it owes.
+      Result<std::optional<ResponseFrame>> eof = reader.Receive();
+      ASSERT_TRUE(eof.ok()) << "conn " << i << ": " << eof.status().ToString();
+      EXPECT_FALSE(eof->has_value()) << "conn " << i;
+    }
+  }
+  EXPECT_EQ(codes[StatusCode::kOk], kConns);
+  EXPECT_EQ(harness.server()->requests_answered(),
+            static_cast<std::uint64_t>(kConns));
+
+  // The mux frees a connection just after closing its socket, so the gauge
+  // may trail the clients' EOFs briefly; a leak never catches up.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (LiveConnections(harness.server()) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(LiveConnections(harness.server()), 0);
+  EXPECT_TRUE(harness.Finish().ok());
 }
 
 }  // namespace

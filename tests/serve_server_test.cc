@@ -1,6 +1,7 @@
-// End-to-end tests for BlitzServer (serve/server.h) over in-memory duplex
-// streams: request/response flow, request isolation, admission sheds,
-// per-tenant fairness, deadline degradation, and graceful drain.
+// End-to-end tests for BlitzServer (serve/server.h) behind the epoll
+// multiplexer on a unix socket, the path blitzd runs: request/response
+// flow, request isolation, admission sheds, per-tenant fairness, deadline
+// degradation, and graceful drain.
 
 #include "serve/server.h"
 
@@ -18,46 +19,19 @@
 #include <vector>
 
 #include "serve/client.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
+#include "serve_harness.h"
 #include "testing/fuzzer.h"
 #include "textio/bjq.h"
 
 namespace blitz {
 namespace {
 
+using testing::MuxConnection;
+using testing::MuxHarness;
+
 constexpr char kSmallBjq[] =
     "relation A 100\nrelation B 200\npredicate A B 0.1\n";
-
-/// A connected client: the server serves its end on a dedicated thread.
-class TestConnection {
- public:
-  explicit TestConnection(BlitzServer* server) {
-    auto [client_end, server_end] = CreateDuplexPipe();
-    client_end_ = std::move(client_end);
-    server_end_ = std::move(server_end);
-    thread_ = std::thread([server, stream = server_end_.get()] {
-      (void)server->Serve(stream);
-    });
-  }
-
-  ~TestConnection() { Finish(); }
-
-  /// Half-closes the request direction and joins the serve thread.
-  void Finish() {
-    if (thread_.joinable()) {
-      client_end_->CloseWrite();
-      thread_.join();
-    }
-  }
-
-  ByteStream* stream() { return client_end_.get(); }
-
- private:
-  std::unique_ptr<ByteStream> client_end_;
-  std::unique_ptr<ByteStream> server_end_;
-  std::thread thread_;
-};
 
 std::string FuzzBody(std::uint64_t seed, int n) {
   fuzz::FuzzerOptions options;
@@ -70,10 +44,9 @@ std::string FuzzBody(std::uint64_t seed, int n) {
 }
 
 TEST(ServerTest, AnswersASimpleRequest) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   Result<ServeReply> reply = client.Optimize(kSmallBjq);
@@ -83,14 +56,12 @@ TEST(ServerTest, AnswersASimpleRequest) {
   EXPECT_GT(reply->cost, 0);
 
   conn.Finish();
-  EXPECT_EQ((*server)->requests_answered(), 1u);
+  EXPECT_EQ(server->requests_answered(), 1u);
 }
 
 TEST(ServerTest, MalformedBodyIsIsolatedToItsRequest) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   // A body ParseBjq rejects, with a line-numbered message.
@@ -106,14 +77,12 @@ TEST(ServerTest, MalformedBodyIsIsolatedToItsRequest) {
 }
 
 TEST(ServerTest, FrameErrorEndsTheConnectionWithAnIdZeroResponse) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  MuxConnection conn(&harness);
 
   ASSERT_TRUE(conn.stream()->Write("this is not a frame header\n").ok());
-  FrameReader reader(conn.stream(), WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  BlitzClient reader(conn.stream(), BlitzClient::Options{});
+  Result<std::optional<ResponseFrame>> response = reader.Receive();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 0u);
@@ -121,7 +90,7 @@ TEST(ServerTest, FrameErrorEndsTheConnectionWithAnIdZeroResponse) {
 
   // A second connection is unaffected — the process survived.
   conn.Finish();
-  TestConnection conn2(server->get());
+  MuxConnection conn2(&harness);
   BlitzClient client(conn2.stream(), BlitzClient::Options{});
   EXPECT_TRUE(client.Optimize(kSmallBjq).ok());
 }
@@ -129,10 +98,8 @@ TEST(ServerTest, FrameErrorEndsTheConnectionWithAnIdZeroResponse) {
 TEST(ServerTest, OversizedBodyIsShedByAdmission) {
   ServerOptions options;
   options.admission.default_quota.max_body_bytes = 64;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  MuxConnection conn(&harness);
 
   BlitzClient::Options client_options;
   client_options.retry.max_attempts = 1;
@@ -144,10 +111,8 @@ TEST(ServerTest, OversizedBodyIsShedByAdmission) {
 }
 
 TEST(ServerTest, ExpiredDeadlineStillAnswersViaDegradation) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   // ~0 deadline: expired by the time a worker picks it up. The degradation
@@ -162,10 +127,8 @@ TEST(ServerTest, ExpiredDeadlineStillAnswersViaDegradation) {
 TEST(ServerTest, TenantDeadlineCapApplies) {
   ServerOptions options;
   options.admission.default_quota.max_deadline_ms = 0.01;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   // The request asks for a generous deadline; the tenant cap clamps it to
@@ -180,10 +143,8 @@ TEST(ServerTest, QueuePressureShedsWithRetryHint) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 1;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   // Pipeline more work than one worker plus a one-slot queue can hold;
@@ -216,11 +177,9 @@ TEST(ServerTest, NoisyTenantCannotStarveAQuietOne) {
   ServerOptions options;
   options.num_workers = 2;
   options.admission.tenants["noisy"].max_in_flight = 1;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
+  MuxHarness harness(options);
 
-  TestConnection noisy_conn(server->get());
+  MuxConnection noisy_conn(&harness);
   BlitzClient::Options noisy_options;
   noisy_options.tenant = "noisy";
   BlitzClient noisy(noisy_conn.stream(), std::move(noisy_options));
@@ -233,7 +192,7 @@ TEST(ServerTest, NoisyTenantCannotStarveAQuietOne) {
   }
 
   // The quiet tenant gets served while the flood is in progress.
-  TestConnection quiet_conn(server->get());
+  MuxConnection quiet_conn(&harness);
   BlitzClient::Options quiet_options;
   quiet_options.tenant = "quiet";
   BlitzClient quiet(quiet_conn.stream(), std::move(quiet_options));
@@ -262,11 +221,10 @@ TEST(ServerTest, QuietTenantLatencyStaysBoundedUnderNoisyFlood) {
   ServerOptions options;
   options.num_workers = 2;
   options.admission.tenants["noisy"].max_in_flight = 1;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
+  MuxHarness harness(options);
+  BlitzServer* server = harness.server();
 
-  TestConnection quiet_conn(server->get());
+  MuxConnection quiet_conn(&harness);
   BlitzClient::Options quiet_options;
   quiet_options.tenant = "quiet";
   BlitzClient quiet(quiet_conn.stream(), std::move(quiet_options));
@@ -290,8 +248,8 @@ TEST(ServerTest, QuietTenantLatencyStaysBoundedUnderNoisyFlood) {
   // slow queries; with its single admitted slot, at most one worker is
   // ever busy on its behalf and the rest of the window is shed.
   std::atomic<bool> stop{false};
-  std::thread flood([&server, &stop] {
-    TestConnection conn(server->get());
+  std::thread flood([&harness, &stop] {
+    MuxConnection conn(&harness);
     BlitzClient::Options noisy_options;
     noisy_options.tenant = "noisy";
     BlitzClient noisy(conn.stream(), std::move(noisy_options));
@@ -308,7 +266,7 @@ TEST(ServerTest, QuietTenantLatencyStaysBoundedUnderNoisyFlood) {
       }
     }
   });
-  while ((*server)->in_flight() == 0) {
+  while (server->in_flight() == 0) {
     std::this_thread::yield();
   }
 
@@ -330,17 +288,16 @@ TEST(ServerTest, ArenaReusesTablesAcrossRequests) {
                             // finds the previous request's table pooled.
   options.cache.max_entries = 0;  // Plan-cache hits would skip the
                                   // optimizer (and the arena) entirely.
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   const std::string body = FuzzBody(/*seed=*/21, /*n=*/9);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(client.Optimize(body).ok());
   }
-  const DpTableArena::Stats stats = (*server)->arena_stats();
+  const DpTableArena::Stats stats = server->arena_stats();
   EXPECT_GE(stats.hits, 3u);
 }
 
@@ -348,10 +305,9 @@ TEST(ServerTest, DrainShedsNewWorkAndAnswersInFlight) {
   ServerOptions options;
   options.num_workers = 1;
   options.drain_grace_ms = 5;  // Force the cancellation path.
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   // A long optimization (n=16 exhaustive) the tiny grace cannot cover.
@@ -359,20 +315,20 @@ TEST(ServerTest, DrainShedsNewWorkAndAnswersInFlight) {
 
   // Wait for admission before draining, so the request races the drain as
   // in-flight work rather than being shed at the door.
-  while ((*server)->in_flight() == 0) {
+  while (server->in_flight() == 0) {
     std::this_thread::yield();
   }
 
-  (*server)->BeginDrain();
-  EXPECT_TRUE((*server)->draining());
+  server->BeginDrain();
+  EXPECT_TRUE(server->draining());
 
   // New work is shed once draining.
   ASSERT_TRUE(client.Send(kSmallBjq).ok());
 
   // Shutdown blocks until both requests are answered (the long one by
   // cancellation unless it finished inside the grace window).
-  (*server)->Shutdown();
-  EXPECT_EQ((*server)->requests_answered(), 2u);
+  server->Shutdown();
+  EXPECT_EQ(server->requests_answered(), 2u);
 
   std::map<std::uint64_t, ResponseFrame> responses;
   for (int i = 0; i < 2; ++i) {
@@ -404,9 +360,7 @@ TEST(ServerTest, ShutdownIsIdempotent) {
 TEST(ServerTest, ManyConcurrentConnections) {
   ServerOptions options;
   options.num_workers = 4;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
+  MuxHarness harness(options);
 
   constexpr int kClients = 8;
   constexpr int kPerClient = 6;
@@ -414,7 +368,7 @@ TEST(ServerTest, ManyConcurrentConnections) {
   std::vector<int> ok_counts(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TestConnection conn(server->get());
+      MuxConnection conn(&harness);
       BlitzClient client(conn.stream(), BlitzClient::Options{});
       for (int i = 0; i < kPerClient; ++i) {
         const std::string body =
@@ -449,10 +403,9 @@ TEST(ServerTest, OptionValidationRejectsNonsense) {
 }
 
 TEST(ServerTest, RepeatRequestsAreAnsweredFromThePlanCache) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
 
   Result<ServeReply> cold = client.Optimize(kSmallBjq);
@@ -469,7 +422,7 @@ TEST(ServerTest, RepeatRequestsAreAnsweredFromThePlanCache) {
   EXPECT_EQ(warm->tier, cold->tier);
   EXPECT_EQ(warm->passes, cold->passes);
 
-  const PlanCache::Stats stats = (*server)->cache_stats();
+  const PlanCache::Stats stats = server->cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -478,28 +431,27 @@ TEST(ServerTest, RepeatRequestsAreAnsweredFromThePlanCache) {
 TEST(ServerTest, NoCacheOptionDisablesReuse) {
   ServerOptions options;
   options.cache.max_entries = 0;
-  Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness(options);
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
   ASSERT_TRUE(client.Optimize(kSmallBjq).ok());
   Result<ServeReply> again = client.Optimize(kSmallBjq);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->cached);
-  EXPECT_EQ((*server)->cache_stats().entries, 0u);
+  EXPECT_EQ(server->cache_stats().entries, 0u);
 }
 
 TEST(ServerTest, StatzAnswersBeforeAdmissionAndWhileDraining) {
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(ServerOptions{});
-  ASSERT_TRUE(server.ok());
-  TestConnection conn(server->get());
+  MuxHarness harness;
+  BlitzServer* server = harness.server();
+  MuxConnection conn(&harness);
   BlitzClient client(conn.stream(), BlitzClient::Options{});
   ASSERT_TRUE(client.Optimize(kSmallBjq).ok());
   // FinishJob responds *before* releasing the tenant's admission slot;
   // wait for full quiescence (ordered after the release) so the tenant
   // accounting below is deterministic.
-  while ((*server)->in_flight() != 0) std::this_thread::yield();
+  while (server->in_flight() != 0) std::this_thread::yield();
 
   Result<std::string> statz = client.Statz();
   ASSERT_TRUE(statz.ok()) << statz.status().ToString();
@@ -513,7 +465,7 @@ TEST(ServerTest, StatzAnswersBeforeAdmissionAndWhileDraining) {
   EXPECT_NE(statz->find("\ntenants_tracked 0\n"), std::string::npos) << *statz;
 
   // A draining server sheds optimize requests but still answers statz.
-  (*server)->BeginDrain();
+  server->BeginDrain();
   Result<std::string> draining = client.Statz();
   ASSERT_TRUE(draining.ok()) << draining.status().ToString();
   EXPECT_NE(draining->find("\ndraining 1\n"), std::string::npos) << *draining;

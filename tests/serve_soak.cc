@@ -4,7 +4,8 @@
 //   serve_soak [--seconds=S] [--seed=N] [--clients=C] [--workers=W]
 //              [--no-chaos] [--repro-dir=DIR] [--verbose]
 //
-// Drives an in-process BlitzServer with C concurrent pipelining clients
+// Drives an in-process BlitzServer behind the epoll multiplexer on a unix
+// socket (the path blitzd runs) with C concurrent pipelining clients
 // sending fuzzer-generated mixed-n queries — salted with malformed bodies,
 // near-zero deadlines, and raw protocol garbage — while a chaos thread
 // randomly arms and disarms the serve.* fault points. The run passes iff:
@@ -43,17 +44,15 @@
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
+#include "serve_harness.h"
 #include "testing/fuzzer.h"
 #include "textio/bjq.h"
 
 namespace {
 
 using blitz::BlitzClient;
-using blitz::BlitzServer;
 using blitz::CostModelKind;
-using blitz::CreateDuplexPipe;
 using blitz::FaultKind;
 using blitz::FaultRegistry;
 using blitz::FaultSpec;
@@ -67,6 +66,8 @@ using blitz::ServerOptions;
 using blitz::SetGlobalMetrics;
 using blitz::StatusCode;
 using blitz::WriteBjq;
+using blitz::testing::MuxConnection;
+using blitz::testing::MuxHarness;
 
 constexpr int kExitOk = 0;
 constexpr int kExitViolation = 1;
@@ -111,7 +112,7 @@ void ReportViolation(const SoakConfig& config, SoakTotals* totals,
 /// One client's closed loop: send a pipelined window, read it back,
 /// validate every frame, reconnect when a connection-level event (accept
 /// fault, protocol garbage we sent) ends the stream.
-void ClientLoop(const SoakConfig& config, BlitzServer* server, int index,
+void ClientLoop(const SoakConfig& config, MuxHarness* harness, int index,
                 const std::atomic<bool>* stop, SoakTotals* totals) {
   Rng rng(blitz::DeriveSeed(config.seed, 1000 + static_cast<std::uint64_t>(index)));
   blitz::fuzz::FuzzerOptions fuzz_options;
@@ -120,31 +121,18 @@ void ClientLoop(const SoakConfig& config, BlitzServer* server, int index,
   fuzz_options.max_relations = 15;
   std::uint64_t case_index = 0;
 
-  std::unique_ptr<blitz::ByteStream> client_end;
-  std::unique_ptr<blitz::ByteStream> server_end;
+  std::unique_ptr<MuxConnection> conn;
   std::unique_ptr<BlitzClient> client;
-  std::thread serve_thread;
   const auto connect = [&] {
-    auto pipe = CreateDuplexPipe(/*buffer_capacity=*/1 << 18);
-    client_end = std::move(pipe.first);
-    server_end = std::move(pipe.second);
-    serve_thread = std::thread([server, stream = server_end.get()] {
-      (void)server->Serve(stream);
-      stream->Close();  // EOF to the client when the server hangs up first.
-    });
+    conn = std::make_unique<MuxConnection>(harness);
     BlitzClient::Options options;
     options.tenant = "soak-" + std::to_string(index);
-    client = std::make_unique<BlitzClient>(client_end.get(),
-                                           std::move(options));
+    client = std::make_unique<BlitzClient>(conn->stream(), std::move(options));
   };
   const auto disconnect = [&] {
-    if (serve_thread.joinable()) {
-      client_end->CloseWrite();
-      serve_thread.join();
-    }
     client.reset();
-    client_end.reset();
-    server_end.reset();
+    conn->Finish();
+    conn.reset();
   };
   connect();
 
@@ -159,7 +147,7 @@ void ClientLoop(const SoakConfig& config, BlitzServer* server, int index,
       const double dice = rng.NextDouble();
       if (dice < 0.05) {
         // Raw protocol garbage: ends the connection by design.
-        if (client_end->Write("\x01garbage\xff not a frame\n").ok()) {
+        if (conn->stream()->Write("\x01garbage\xff not a frame\n").ok()) {
           sent_protocol_garbage = true;
         }
         break;
@@ -185,6 +173,14 @@ void ClientLoop(const SoakConfig& config, BlitzServer* server, int index,
     bool reconnect_needed = sent_protocol_garbage;
     for (int i = 0; i < sent; ++i) {
       Result<std::optional<ResponseFrame>> response = client->Receive();
+      if (!response.ok() &&
+          response.status().code() == StatusCode::kUnavailable) {
+        // The socket was reset: the server closed the connection (accept
+        // fault) with requests of ours still unread, which it never
+        // admitted. Like EOF below, not a frame the server wrote.
+        reconnect_needed = true;
+        break;
+      }
       if (!response.ok()) {
         // The server wrote bytes that do not parse as a frame: always a
         // violation, the one thing the serving tier must never do.
@@ -324,21 +320,14 @@ int main(int argc, char** argv) {
 
   ServerOptions server_options;
   server_options.num_workers = config.workers;
-  Result<std::unique_ptr<BlitzServer>> server =
-      BlitzServer::Create(server_options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "serve_soak: %s\n",
-                 server.status().ToString().c_str());
-    SetGlobalMetrics(nullptr);
-    return kExitViolation;
-  }
+  auto harness = std::make_unique<MuxHarness>(server_options);
 
   SoakTotals totals;
   std::atomic<bool> stop{false};
   std::vector<std::thread> client_threads;
   for (int c = 0; c < config.clients; ++c) {
-    client_threads.emplace_back(ClientLoop, std::cref(config),
-                                server->get(), c, &stop, &totals);
+    client_threads.emplace_back(ClientLoop, std::cref(config), harness.get(),
+                                c, &stop, &totals);
   }
   std::thread chaos_thread;
   if (config.chaos) {
@@ -352,8 +341,8 @@ int main(int argc, char** argv) {
   if (chaos_thread.joinable()) chaos_thread.join();
 
   // Graceful drain must leave nothing unanswered.
-  (*server)->Shutdown();
-  if ((*server)->in_flight() != 0) {
+  (void)harness->Finish();
+  if (harness->server()->in_flight() != 0) {
     ReportViolation(config, &totals, "requests left in flight after drain",
                     "");
   }
@@ -371,7 +360,7 @@ int main(int argc, char** argv) {
   if (config.verbose) {
     std::fprintf(stderr, "%s\n", metrics.ToJson().c_str());
   }
-  server->reset();
+  harness.reset();
   SetGlobalMetrics(nullptr);
   return totals.violations.load() == 0 ? kExitOk : kExitViolation;
 }

@@ -15,15 +15,14 @@
 //
 // Exit codes: 0 clean drain, 1 runtime error, 2 usage error.
 
-#include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -32,8 +31,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <poll.h>
-
 #include "card/estimator.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -41,6 +38,7 @@
 #include "serve/mux.h"
 #include "serve/server.h"
 #include "serve/stream.h"
+#include "serve/wire.h"
 
 namespace blitz {
 namespace {
@@ -292,6 +290,82 @@ Result<int> ListenTcp(int port) {
   return fd;
 }
 
+/// blitzd --stdio's response side: frames go to stdout, serialized across
+/// workers, each write bounded by --write-timeout-ms. Counts answers so the
+/// read loop can wait for the last one.
+class StdioSink final : public ResponseSink {
+ public:
+  StdioSink(int wake_fd, double write_timeout_ms)
+      : stream_(STDIN_FILENO, STDOUT_FILENO, /*own_fds=*/false, wake_fd,
+                write_timeout_ms) {}
+
+  /// The stdin side; only the read loop reads it.
+  ByteStream* stream() { return &stream_; }
+
+  void SendResponse(const ResponseFrame& response) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stream_.Write(EncodeResponseFrame(response)).ok()) {
+      if (MetricsRegistry* metrics = GlobalMetrics()) {
+        metrics->AddCounter("serve.write_errors");
+      }
+    }
+    ++answered_;
+    answered_cv_.notify_all();
+  }
+
+  void WaitForAnswers(std::uint64_t submitted) {
+    std::unique_lock<std::mutex> lock(mu_);
+    answered_cv_.wait(lock, [&] { return answered_ >= submitted; });
+  }
+
+ private:
+  FdStream stream_;
+  std::mutex mu_;
+  std::condition_variable answered_cv_;
+  std::uint64_t answered_ = 0;
+};
+
+/// Serves one connection on stdin/stdout: a blocking read loop pumping
+/// bytes through the same RequestFrameAssembler and OpenConnection /
+/// SubmitRequest path the multiplexer uses. Ends at EOF or when the wake
+/// fd (SIGTERM) fires, then waits until every submitted request is
+/// answered. Returns the framing error that ended the stream, if any.
+Status ServeStdio(BlitzServer* server, int wake_fd, double write_timeout_ms) {
+  auto sink = std::make_shared<StdioSink>(wake_fd, write_timeout_ms);
+  const std::shared_ptr<ServeConnection> conn = server->OpenConnection(sink);
+  RequestFrameAssembler assembler(server->options().wire);
+  std::uint64_t submitted = 0;
+  Status result = Status::OK();
+  std::vector<RequestFrame> frames;
+  char buf[64 * 1024];
+  for (;;) {
+    Result<std::size_t> n = sink->stream()->Read(buf, sizeof(buf));
+    if (!n.ok()) {
+      result = n.status();
+    } else if (*n == 0) {
+      if (assembler.mid_frame()) {
+        result = Status::InvalidArgument("stream ended mid-frame");
+      }
+    } else {
+      frames.clear();
+      result = assembler.Feed(std::string_view(buf, *n), &frames);
+      for (RequestFrame& frame : frames) {
+        ++submitted;
+        server->SubmitRequest(conn, std::move(frame));
+      }
+      if (result.ok()) continue;
+    }
+    break;
+  }
+  if (!result.ok()) {
+    // The stream is no longer frame-aligned: answer once with id 0.
+    server->SubmitProtocolError(conn, result);
+    ++submitted;
+  }
+  sink->WaitForAnswers(submitted);
+  return result;
+}
+
 /// Serves a listening socket through the epoll multiplexer (serve/mux.h):
 /// one event-loop thread owns every connection, so concurrency is bounded
 /// by file descriptors rather than reader threads. The wake fd (SIGTERM
@@ -333,14 +407,10 @@ int RunDaemon(const DaemonArgs& args) {
 
   Status served = Status::OK();
   switch (args.transport) {
-    case DaemonArgs::Transport::kStdio: {
-      FdStream stream(STDIN_FILENO, STDOUT_FILENO, /*own_fds=*/false,
-                      wake_pipe[0], args.write_timeout_ms);
-      served = (*server)->Serve(&stream);
+    case DaemonArgs::Transport::kStdio:
       // EOF on stdin is this transport's drain signal.
-      (*server)->BeginDrain();
+      served = ServeStdio(server->get(), wake_pipe[0], args.write_timeout_ms);
       break;
-    }
     case DaemonArgs::Transport::kUnix: {
       Result<int> listen_fd = ListenUnix(args.unix_path);
       if (!listen_fd.ok()) {
